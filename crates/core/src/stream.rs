@@ -15,6 +15,7 @@
 //! with the same tolerance the batch firmware reports with.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use hbc_dsp::window::match_peaks;
@@ -78,6 +79,9 @@ struct PatientStream<'fw> {
     patient_id: u32,
     stream: StreamingFirmware<'fw>,
     outcomes: Vec<BeatOutcome>,
+    /// The last [`StreamHub::ingest`] batch that listed this session; a
+    /// second listing in the same batch is a duplicate feed.
+    batch: u64,
 }
 
 impl PatientStream<'_> {
@@ -112,6 +116,9 @@ pub struct StreamHub<'fw> {
     /// concurrent calibrations. Sits alongside the per-session `BeatScratch`
     /// the streaming firmware already owns.
     calibration: Mutex<Vec<CalibrationScratch>>,
+    /// Number of the next [`Self::ingest`] batch (batch numbers start at 1,
+    /// so a fresh session's `batch` of 0 never matches).
+    next_batch: AtomicU64,
     /// Wall-clock microseconds per [`Self::ingest`] batch (the full parallel
     /// sweep). Behind a mutex because `ingest` takes `&self`; uncontended in
     /// the single-reactor serving path.
@@ -155,6 +162,7 @@ impl<'fw> StreamHub<'fw> {
             sessions: Vec::new(),
             free: Vec::new(),
             calibration: Mutex::new(Vec::new()),
+            next_batch: AtomicU64::new(1),
             ingest_micros: Mutex::new(Histogram::new()),
             closed_stages: StageMetrics::default(),
         }
@@ -210,6 +218,7 @@ impl<'fw> StreamHub<'fw> {
             patient_id,
             stream: StreamingFirmware::new(self.firmware, self.fs, thresholds),
             outcomes: Vec::new(),
+            batch: 0,
         };
         match self.free.pop() {
             Some(index) => {
@@ -272,24 +281,19 @@ impl<'fw> StreamHub<'fw> {
     /// Returns [`CoreError::Config`] for an unknown or closed session or a
     /// duplicated session within the batch.
     pub fn ingest(&self, feeds: &[(SessionId, &[f64])]) -> Result<()> {
-        let mut seen = vec![false; self.sessions.len()];
+        // Validation is O(feeds): each listed session is stamped with this
+        // batch's number, so a second listing finds its own stamp.
+        // Relaxed: the number only has to be unique, and the sessions it
+        // stamps are guarded by their own mutexes.
+        let batch = self.next_batch.fetch_add(1, Ordering::Relaxed);
         for (id, _) in feeds {
-            let slot = seen
-                .get_mut(id.0)
-                .ok_or_else(|| CoreError::Config(format!("unknown session #{}", id.0)))?;
-            if std::mem::replace(slot, true) {
+            let mut slot = self.session(*id)?.lock().expect("session poisoned");
+            let session = slot.as_mut().ok_or_else(|| Self::closed(*id))?;
+            if std::mem::replace(&mut session.batch, batch) == batch {
                 return Err(CoreError::Config(format!(
                     "session #{} fed twice in one batch",
                     id.0
                 )));
-            }
-            if self
-                .session(*id)?
-                .lock()
-                .expect("session poisoned")
-                .is_none()
-            {
-                return Err(Self::closed(*id));
             }
         }
         let started = std::time::Instant::now();

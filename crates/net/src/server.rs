@@ -13,6 +13,12 @@
 //! window) and flush write buffers. [`Gateway::run`] loops `poll` until a
 //! shutdown flag flips, then reports [`GatewayStats`].
 //!
+//! A sweep's cost follows the frames that arrived, the sessions with work
+//! and the deadlines that are due, not the sessions open: the session loops
+//! visit only a work set marked where work arrives (accepted samples, a
+//! shed, a resume), and the idle, retention and report-cache scans wait for
+//! their earliest deadline.
+//!
 //! ## Credit-based flow control
 //!
 //! Every session holds a **credit budget** of `credit_budget` samples — the
@@ -95,7 +101,7 @@
 //! outcomes: every classification path stays bit-identical with telemetry
 //! enabled.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -326,8 +332,9 @@ pub struct GatewayStats {
     /// ever held — the *global* bounded-memory witness alongside the
     /// per-session [`GatewayStats::peak_buffered_samples`].
     pub peak_buffered_bytes: usize,
-    /// Internal invariant violations skipped at runtime (a listed session
-    /// that vanished mid-sweep, a staged ingest the hub rejected, …).
+    /// Internal invariant violations skipped at runtime (a session that
+    /// vanished mid-frame, a staged ingest the hub rejected, …). Stale ids
+    /// in the sweep's work set are expected and not counted.
     /// Debug builds panic at the offending site; release builds count here
     /// so the skips stay visible instead of silent.
     pub internal_skips: u64,
@@ -577,6 +584,16 @@ pub struct Gateway<'fw> {
     stats: GatewayStats,
     /// Reused per-sweep scratch listing the sessions with a staged chunk.
     staged: Vec<u32>,
+    /// Wire ids of the live sessions that may have work for the sweep —
+    /// samples to promote or stage, credit owed, outcomes to forward —
+    /// marked where that work arrives (accepted samples, a shed, a resume)
+    /// and dropped once a sweep leaves the session with none. Ordered, so
+    /// sweeps visit sessions in wire-id order. May hold stale ids of ended
+    /// or parked sessions; sweeps skip and drop those.
+    work: BTreeSet<u32>,
+    /// Reused per-sweep snapshot of [`Self::work`] the sweep iterates while
+    /// it mutates the gateway.
+    work_list: Vec<u32>,
     /// Durable ingest log, when configured. `None` after an append failure
     /// (see [`GatewayStats::wal_errors`]).
     wal: Option<Wal>,
@@ -585,6 +602,13 @@ pub struct Gateway<'fw> {
     completed: HashMap<u64, CompletedSession>,
     /// Wire-id → token index into [`Self::completed`], for retried closes.
     completed_by_wire: HashMap<u32, u64>,
+    /// Tokens of [`Self::completed`] in insertion order. Entry times only
+    /// grow, so the expired entries are always a prefix of this queue.
+    completed_order: VecDeque<u64>,
+    /// Running total of the outcome bytes the cached-report table holds —
+    /// its share of the global memory budget, audited against a recount in
+    /// debug builds like [`Self::buffered_samples`].
+    completed_bytes: usize,
     /// Incremental ledger of samples buffered across live **and** parked
     /// sessions — the sample-buffer share of the global memory budget,
     /// maintained at every mutation site and audited against
@@ -675,9 +699,13 @@ impl<'fw> Gateway<'fw> {
             sessions,
             stats,
             staged: Vec::new(),
+            work: BTreeSet::new(),
+            work_list: Vec::new(),
             wal,
             completed: HashMap::new(),
             completed_by_wire: HashMap::new(),
+            completed_order: VecDeque::new(),
+            completed_bytes: 0,
             buffered_samples,
             heartbeat: Heartbeat::new(),
             obs,
@@ -736,12 +764,25 @@ impl<'fw> Gateway<'fw> {
     /// table — the gateway's one memory ledger.
     fn memory_used(&self) -> usize {
         let outboxes: usize = self.conns.iter().flatten().map(Connection::queued).sum();
-        let completed: usize = self
-            .completed
-            .values()
-            .map(|done| done.outcomes.len() * std::mem::size_of::<WireOutcome>())
-            .sum();
-        self.buffered_samples * SAMPLE_BYTES + outboxes + completed
+        self.buffered_samples * SAMPLE_BYTES + outboxes + self.completed_bytes
+    }
+
+    /// First live session that still has work after a sweep — samples it
+    /// can stage, credit it is owed or hub outcomes not yet forwarded — but
+    /// is missing from the work set, so no later sweep would visit it. The
+    /// debug-build audit at the end of every [`Self::poll`] expects `None`.
+    fn work_set_hole(&self) -> Option<u32> {
+        self.sessions.ids().into_iter().find(|wire_id| {
+            let Some(s) = self.sessions.get(*wire_id) else {
+                return false;
+            };
+            let unforwarded = s.hub_id().is_some_and(|hub| {
+                self.hub
+                    .outcomes_since(hub, s.outcomes_sent)
+                    .is_ok_and(|fresh| !fresh.is_empty())
+            });
+            (s.needs_sweep() || unforwarded) && !self.work.contains(wire_id)
+        })
     }
 
     /// A point-in-time health snapshot: session and connection counts,
@@ -1180,6 +1221,19 @@ impl<'fw> Gateway<'fw> {
             self.sessions.total_buffered_samples(),
             "global buffered-sample ledger out of sync"
         );
+        debug_assert_eq!(
+            self.completed_bytes,
+            self.completed
+                .values()
+                .map(|done| done.outcomes.len() * std::mem::size_of::<WireOutcome>())
+                .sum::<usize>(),
+            "cached-report ledger out of sync"
+        );
+        debug_assert_eq!(
+            self.work_set_hole(),
+            None,
+            "a live session with work is missing from the work set"
+        );
         Ok(progress)
     }
 
@@ -1586,6 +1640,10 @@ impl<'fw> Gateway<'fw> {
         }
         match self.sessions.resume(token, patient_id, idx, Instant::now()) {
             ResumeOutcome::Resumed(wire_id) => {
+                // The session is live again, and rewound outcomes, a
+                // buffered tail or owed credit may be waiting: sweep it,
+                // even if the resume is denied below and it parks again.
+                self.work.insert(wire_id);
                 let budget = self.config.credit_budget;
                 let Some(received) = self.sessions.get(wire_id).map(|s| s.next_seq) else {
                     self.stats.internal_skips += 1;
@@ -1747,6 +1805,7 @@ impl<'fw> Gateway<'fw> {
         );
         s.samples_received += accepted as u64;
         s.consumed_since_grant += dropped_at_budget;
+        self.work.insert(session);
         self.buffered_samples += accepted;
         self.stats.samples_in += accepted as u64;
         self.stats.peak_buffered_samples = self.stats.peak_buffered_samples.max(s.buffered());
@@ -1808,6 +1867,7 @@ impl<'fw> Gateway<'fw> {
                 s.pending.truncate(s.pending.len() - shed);
                 if live {
                     s.consumed_since_grant += shed;
+                    self.work.insert(wire_id);
                 }
                 need -= shed;
                 self.buffered_samples -= shed;
@@ -1868,12 +1928,16 @@ impl<'fw> Gateway<'fw> {
 
     /// Promotes sessions whose calibration stretch is complete, then feeds
     /// at most one pending chunk per session into the hub with a single
-    /// parallel [`StreamHub::ingest`] call.
+    /// parallel [`StreamHub::ingest`] call. Visits only the work set, which
+    /// it snapshots into [`Self::work_list`] for the forwarding step too.
     fn ingest_sweep(&mut self) -> bool {
+        self.work_list.clear();
+        self.work_list.extend(&self.work);
         // Promotion: derive thresholds from the first `calib_len` samples
         // and create the hub session; the stretch stays in `pending` and is
         // replayed into the stream, like a node's start-up phase.
-        for wire_id in self.sessions.ids() {
+        for i in 0..self.work_list.len() {
+            let wire_id = self.work_list[i];
             let Some(s) = self.sessions.get_mut(wire_id) else {
                 continue;
             };
@@ -1935,16 +1999,17 @@ impl<'fw> Gateway<'fw> {
             conns,
             config,
             staged,
+            work_list,
             stats,
             buffered_samples,
             obs,
             ..
         } = self;
         staged.clear();
-        for wire_id in sessions.ids() {
+        for &wire_id in work_list.iter() {
+            // Stale ids (a session ended or parked since it was marked)
+            // are expected: skip them.
             let Some(s) = sessions.get_mut(wire_id) else {
-                stats.internal_skips += 1;
-                debug_assert!(false, "listed session {wire_id} vanished");
                 continue;
             };
             if s.hub_id().is_none() || s.pending.is_empty() {
@@ -2006,10 +2071,12 @@ impl<'fw> Gateway<'fw> {
     }
 
     /// Forwards freshly classified beats and grants credit for consumed
-    /// samples.
+    /// samples, for the sessions [`Self::ingest_sweep`] listed; then drops
+    /// from the work set every session left with nothing to do.
     fn forward_outcomes_and_credit(&mut self) -> bool {
         let mut progress = false;
-        for wire_id in self.sessions.ids() {
+        for i in 0..self.work_list.len() {
+            let wire_id = self.work_list[i];
             let Some(s) = self.sessions.get(wire_id) else {
                 continue;
             };
@@ -2023,17 +2090,12 @@ impl<'fw> Gateway<'fw> {
                 continue;
             };
             let grant = s.consumed_since_grant;
-            // Refresh the shedding priority from the recent outcome
-            // window: an abnormal beat protects the stream under overload,
-            // and a clean window decays the protection again.
-            let priority = match self.hub.recent_abnormal(hub_id, PRIORITY_WINDOW) {
-                Ok(true) => SessionPriority::Critical,
-                _ => SessionPriority::Normal,
-            };
-            if let Some(s) = self.sessions.get_mut(wire_id) {
-                s.priority = priority;
-            }
             if !fresh.is_empty() {
+                // Refresh the shedding priority from the recent outcome
+                // window, which only moves when outcomes arrive: an
+                // abnormal beat protects the stream under overload, and a
+                // clean window decays the protection again.
+                let priority = recent_priority(&self.hub, hub_id);
                 let outcomes: Vec<WireOutcome> =
                     fresh.iter().map(WireOutcome::from_outcome).collect();
                 let n = outcomes.len();
@@ -2048,6 +2110,7 @@ impl<'fw> Gateway<'fw> {
                     debug_assert!(false, "session {wire_id} vanished while forwarding");
                     continue;
                 };
+                s.priority = priority;
                 s.outcomes_sent += n;
                 // The headline metric: from the arrival of the oldest
                 // sample behind these outcomes to the sweep forwarding
@@ -2083,14 +2146,22 @@ impl<'fw> Gateway<'fw> {
                 }
             }
         }
+        // Every outcome of a listed session is forwarded by now, so what
+        // remains is its own account: stageable samples or owed credit.
+        let Gateway { work, sessions, .. } = self;
+        work.retain(|&wire_id| sessions.get(wire_id).is_some_and(NetSession::needs_sweep));
         progress
     }
 
+    /// Evicts idle sessions. The scan only runs once the idle deadline of
+    /// the least recently active session can have passed.
     fn evict_idle(&mut self) {
-        for wire_id in self
-            .sessions
-            .idle_ids(Instant::now(), self.config.idle_timeout)
-        {
+        let now = Instant::now();
+        let idle = self.config.idle_timeout;
+        if !self.sessions.idle_due(now, idle) {
+            return;
+        }
+        for wire_id in self.sessions.idle_ids(now, idle) {
             self.close_wire_session(wire_id, true);
         }
     }
@@ -2181,6 +2252,8 @@ impl<'fw> Gateway<'fw> {
         );
         if !self.config.resume_window.is_zero() {
             self.completed_by_wire.insert(wire_id, s.token);
+            self.completed_order.push_back(s.token);
+            self.completed_bytes += history.len() * std::mem::size_of::<WireOutcome>();
             self.completed.insert(
                 s.token,
                 CompletedSession {
@@ -2265,11 +2338,19 @@ impl<'fw> Gateway<'fw> {
                 .trace
                 .push(TraceEvent::SessionExpire { session: s.wire_id });
         }
-        if !self.completed.is_empty() {
-            self.completed
-                .retain(|_, done| now.duration_since(done.since) <= window);
-            self.completed_by_wire
-                .retain(|_, token| self.completed.contains_key(token));
+        while let Some(&token) = self.completed_order.front() {
+            if self
+                .completed
+                .get(&token)
+                .is_some_and(|done| now.duration_since(done.since) <= window)
+            {
+                break;
+            }
+            self.completed_order.pop_front();
+            if let Some(done) = self.completed.remove(&token) {
+                self.completed_bytes -= done.outcomes.len() * std::mem::size_of::<WireOutcome>();
+                self.completed_by_wire.remove(&done.wire_id);
+            }
         }
     }
 
@@ -2499,6 +2580,16 @@ impl<'fw> Gateway<'fw> {
     }
 }
 
+/// A streaming session's shedding priority, from its recent outcome window:
+/// one abnormal beat among the last [`PRIORITY_WINDOW`] makes it
+/// [`SessionPriority::Critical`].
+fn recent_priority(hub: &StreamHub<'_>, hub_id: hbc_core::SessionId) -> SessionPriority {
+    match hub.recent_abnormal(hub_id, PRIORITY_WINDOW) {
+        Ok(true) => SessionPriority::Critical,
+        _ => SessionPriority::Normal,
+    }
+}
+
 /// Rebuilds the sessions a previous gateway process left open in the
 /// durable log.
 ///
@@ -2648,13 +2739,16 @@ fn recover_sessions(
         // sent, which the replay covers (samples are logged before they are
         // ingested), so the resume-time `min()` rewind lands exactly on the
         // client's claim.
-        let (phase, pending, outcomes_sent) = match r.hub_id {
+        // The replay rebuilt the outcome history, so the shedding priority
+        // is derived from it here, like after any other ingest.
+        let (phase, pending, outcomes_sent, priority) = match r.hub_id {
             Some(hub_id) => {
                 let replayed = hub.outcomes_since(hub_id, 0).map_or(0, |o| o.len());
                 (
                     SessionPhase::Streaming { hub: hub_id },
                     Vec::new(),
                     replayed,
+                    recent_priority(hub, hub_id),
                 )
             }
             None => (
@@ -2663,6 +2757,7 @@ fn recover_sessions(
                 },
                 r.samples,
                 0,
+                SessionPriority::Normal,
             ),
         };
         sessions.insert_detached(
@@ -2679,7 +2774,7 @@ fn recover_sessions(
                 consumed_since_grant: 0,
                 samples_received,
                 last_activity: now,
-                priority: SessionPriority::Normal,
+                priority,
                 oldest_pending_at: None,
                 staged_anchor: None,
             },

@@ -126,6 +126,18 @@ impl NetSession {
         self.pending.len()
     }
 
+    /// Whether the reactor has work for this session on its own account:
+    /// samples it can stage (a complete calibration stretch, or any buffered
+    /// sample once streaming) or credit it owes the sender. Outcomes waiting
+    /// in the hub are the hub's side of the same question.
+    pub fn needs_sweep(&self) -> bool {
+        let stageable = match self.phase {
+            SessionPhase::Calibrating { calib_len } => self.pending.len() >= calib_len,
+            SessionPhase::Streaming { .. } => !self.pending.is_empty(),
+        };
+        stageable || self.consumed_since_grant > 0
+    }
+
     /// The hub handle, if the session has finished calibrating.
     pub fn hub_id(&self) -> Option<SessionId> {
         match self.phase {
@@ -176,6 +188,11 @@ pub struct SessionManager {
     /// The retired ids in retirement order, backing the cap.
     retired_order: VecDeque<u32>,
     next_id: u32,
+    /// Lower bound on the `last_activity` of every live session: lowered
+    /// when a session goes live, recomputed by each idle scan. Activity
+    /// only moves forward, so no session can be idle before this bound plus
+    /// the timeout and the reactor skips the scan until then.
+    activity_floor: Option<Instant>,
 }
 
 impl SessionManager {
@@ -199,6 +216,7 @@ impl SessionManager {
         let wire_id = self.next_id;
         self.next_id += 1;
         let token = self.next_token();
+        self.note_live(now);
         self.sessions.insert(
             wire_id,
             NetSession {
@@ -271,17 +289,34 @@ impl SessionManager {
         ids
     }
 
-    /// Wire ids of every live session, in id order (deterministic sweeps).
+    /// Wire ids of every live session, in id order — for the cold paths
+    /// that must see every session (shedding, audits); the reactor's sweeps
+    /// visit only the sessions with work.
     pub fn ids(&self) -> Vec<u32> {
         let mut ids: Vec<u32> = self.sessions.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
+    /// Lowers the activity floor for a session going live at `now`.
+    fn note_live(&mut self, now: Instant) {
+        self.activity_floor = Some(self.activity_floor.map_or(now, |t| t.min(now)));
+    }
+
+    /// Whether some live session may have been idle for longer than `idle`
+    /// at `now` — `false` means [`Self::idle_ids`] would certainly be empty,
+    /// so the reactor can skip the scan.
+    pub fn idle_due(&self, now: Instant, idle: Duration) -> bool {
+        self.activity_floor
+            .is_some_and(|floor| now.duration_since(floor) > idle)
+    }
+
     /// Wire ids whose last activity is older than `idle` seconds before
     /// `now` — the eviction candidates. Detached sessions are not idle,
-    /// they are waiting (their clock is the retention window).
-    pub fn idle_ids(&self, now: Instant, idle: Duration) -> Vec<u32> {
+    /// they are waiting (their clock is the retention window). The scan
+    /// also re-tightens the floor behind [`Self::idle_due`].
+    pub fn idle_ids(&mut self, now: Instant, idle: Duration) -> Vec<u32> {
+        self.activity_floor = self.sessions.values().map(|s| s.last_activity).min();
         let mut ids: Vec<u32> = self
             .sessions
             .values()
@@ -398,6 +433,7 @@ impl SessionManager {
             parked.session.last_activity = now;
             let wire_id = parked.session.wire_id;
             self.sessions.insert(wire_id, parked.session);
+            self.note_live(now);
             return ResumeOutcome::Resumed(wire_id);
         }
         // Still live on a dying connection?
@@ -492,13 +528,25 @@ mod tests {
     #[test]
     fn idle_sessions_are_found_by_age() {
         let mut mgr = SessionManager::new();
+        let timeout = Duration::from_secs(30);
+        assert!(
+            !mgr.idle_due(Instant::now(), timeout),
+            "no session, no deadline"
+        );
         let past = Instant::now() - Duration::from_secs(60);
         let old = mgr.open(0, 1, 10, past);
         let now = Instant::now();
         let fresh = mgr.open(0, 2, 10, now);
-        let idle = mgr.idle_ids(now, Duration::from_secs(30));
+        assert!(mgr.idle_due(now, timeout));
+        let idle = mgr.idle_ids(now, timeout);
         assert_eq!(idle, vec![old]);
         assert!(mgr.get(fresh).is_some());
+        // Once the idle session is gone, a scan moves the deadline to the
+        // fresh session's.
+        mgr.remove(old);
+        assert!(mgr.idle_ids(now, timeout).is_empty());
+        assert!(!mgr.idle_due(now + timeout, timeout));
+        assert!(mgr.idle_due(now + timeout + Duration::from_millis(1), timeout));
     }
 
     #[test]

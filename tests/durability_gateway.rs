@@ -532,3 +532,284 @@ fn lost_report_after_close_is_refetchable_within_the_window() {
     assert_eq!(stats.reports_refetched, 2, "once by token, once by close");
     assert_eq!(stats.denials, 0, "no path through this scenario denies");
 }
+
+/// Opens a session on a fresh connection and closes it at once (no
+/// samples: an empty report). Returns the wire id, the resume token and the
+/// instant just before the close was sent — the cached report cannot be
+/// older than that.
+fn open_and_close(addr: SocketAddr, patient_id: u32) -> (u32, u64, Instant) {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut decoder = FrameDecoder::new();
+    conn.write_all(
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode(),
+    )
+    .expect("hello");
+    conn.write_all(
+        &Frame::OpenSession {
+            patient_id,
+            fs_millihertz: 360_000,
+            calib_len: 720,
+        }
+        .encode(),
+    )
+    .expect("open");
+    let Frame::SessionOpened { session, token, .. } = read_until(&mut conn, &mut decoder, |f| {
+        matches!(f, Frame::SessionOpened { .. })
+    }) else {
+        unreachable!()
+    };
+    let close_sent = Instant::now();
+    conn.write_all(&Frame::CloseSession { session }.encode())
+        .expect("close");
+    read_until(&mut conn, &mut decoder, |f| {
+        matches!(f, Frame::Report { .. })
+    });
+    (session, token, close_sent)
+}
+
+/// Asks for a cached report by resume token on a fresh connection: `true`
+/// when it is re-served, `false` when the token is refused as expired.
+fn refetch(addr: SocketAddr, patient_id: u32, token: u64) -> bool {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut decoder = FrameDecoder::new();
+    conn.write_all(
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode(),
+    )
+    .expect("hello");
+    conn.write_all(
+        &Frame::ResumeSession {
+            patient_id,
+            session_token: token,
+            last_acked_seq: 0,
+            outcomes_received: 0,
+        }
+        .encode(),
+    )
+    .expect("resume");
+    match read_until(&mut conn, &mut decoder, |f| {
+        matches!(f, Frame::Report { .. } | Frame::Deny { .. })
+    }) {
+        Frame::Report { .. } => true,
+        Frame::Deny { message } => {
+            assert!(message.contains("unknown or expired"), "{message}");
+            false
+        }
+        _ => unreachable!(),
+    }
+}
+
+#[test]
+fn a_report_cached_after_the_last_expiry_check_is_served_inside_the_window_only() {
+    // The gateway checks the report cache only once its oldest entry can
+    // have expired. A report cached later must survive the check that
+    // expires an older one, and still expire on its own deadline.
+    let fw = firmware();
+    let window = Duration::from_millis(1000);
+    let config = GatewayConfig {
+        resume_window: window,
+        ..GatewayConfig::default()
+    };
+    let ((), stats) = with_gateway(&fw, 360.0, config, |addr| {
+        // Polls the cache for `token` until it is refused; a refusal is
+        // only correct once the window has run out since the close.
+        let wait_refused = |patient_id: u32, token: u64, close_sent: Instant| {
+            support::wait_until(Duration::from_secs(20), || {
+                let refused = !refetch(addr, patient_id, token);
+                if refused {
+                    assert!(
+                        close_sent.elapsed() > window,
+                        "report of patient {patient_id} refused inside the window"
+                    );
+                }
+                refused
+            });
+        };
+        let (_, token_a, closed_a) = open_and_close(addr, 1);
+        assert!(refetch(addr, 1, token_a), "fresh report is re-served");
+        // Stagger the second close half a window behind the first, so the
+        // first expires while the second is well inside its window.
+        support::wait_until(Duration::from_secs(10), || closed_a.elapsed() >= window / 2);
+        let (_, token_b, closed_b) = open_and_close(addr, 2);
+        wait_refused(1, token_a, closed_a);
+        let served = refetch(addr, 2, token_b);
+        assert!(
+            served || closed_b.elapsed() > window,
+            "a report cached after the last expiry check was refused inside its window"
+        );
+        wait_refused(2, token_b, closed_b);
+    });
+    assert_eq!(stats.sessions_closed, 2);
+    assert!(stats.reports_refetched >= 2);
+    assert_eq!(stats.internal_skips, 0);
+}
+
+/// Polls `gateway` by hand until it holds exactly one parked session, then
+/// once more, so the sweep has also let go of the parked session.
+fn poll_until_parked(gateway: &mut Gateway<'_>) {
+    let start = Instant::now();
+    while gateway.health().parked_sessions != 1 {
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "session never parked"
+        );
+        gateway.poll().expect("poll");
+    }
+    gateway.poll().expect("poll");
+}
+
+#[test]
+fn an_over_claiming_resume_of_a_parked_session_with_buffered_samples_keeps_it_swept() {
+    // A session parks with samples still buffered and credit owed: its
+    // link resets while a small per-sweep ingest cap holds the samples
+    // back. A resume that claims more acked frames than the gateway
+    // received makes the session live until the denial parks it again, so
+    // that sweep must visit it like any resumed session; the debug-build
+    // work-set audit fails the poll otherwise. The gateway is polled by
+    // hand, so nothing drains behind the test's back, and an honest resume
+    // afterwards still gets the whole stream classified.
+    let fw = firmware();
+    let record = wire_record(7500, 30);
+    let fs = record.fs;
+    let fs_millihertz = (fs * 1000.0).round() as u32;
+    let calib_len = 720usize;
+    let reference = reference_outcomes(&fw, &record, calib_len);
+    let config = GatewayConfig {
+        max_ingest_per_poll: 16,
+        ..GatewayConfig::default()
+    };
+    let mut gateway = Gateway::bind("127.0.0.1:0", &fw, fs, config).expect("bind");
+    let addr = gateway.local_addr().expect("addr");
+
+    // Connection 1: open, send everything, and reset the link once the
+    // gateway has read every frame.
+    let (mut conn, mut decoder) = support::greeted(addr);
+    conn.write_all(
+        &Frame::OpenSession {
+            patient_id: record.id,
+            fs_millihertz,
+            calib_len: calib_len as u32,
+        }
+        .encode(),
+    )
+    .expect("open");
+    let Frame::SessionOpened { session, token, .. } =
+        support::pump_until(&mut gateway, &mut conn, &mut decoder, |f| {
+            matches!(f, Frame::SessionOpened { .. })
+        })
+    else {
+        unreachable!()
+    };
+    let mut codes = Vec::new();
+    quantize_mv_into(record.lead(Lead(0)).expect("lead 0"), &mut codes);
+    let mut sent_frames = 0u32;
+    for chunk in codes.chunks(4096) {
+        conn.write_all(
+            &Frame::Samples {
+                session,
+                seq: sent_frames,
+                samples: chunk.to_vec(),
+            }
+            .encode(),
+        )
+        .expect("samples");
+        sent_frames += 1;
+    }
+    support::pump_until(
+        &mut gateway,
+        &mut conn,
+        &mut decoder,
+        |f| matches!(f, Frame::Credit { acked_seq, .. } if *acked_seq == sent_frames),
+    );
+    // One more sweep queues a grant the client never reads: closing a
+    // socket with unread data resets the link instead of half-closing it.
+    gateway.poll().expect("poll");
+    let mut probe = [0u8; 1];
+    support::wait_until(Duration::from_secs(10), || {
+        conn.peek(&mut probe).is_ok_and(|n| n > 0)
+    });
+    drop(conn);
+    poll_until_parked(&mut gateway);
+    assert!(
+        gateway.health().buffered_bytes > 0,
+        "the session parked with samples still buffered"
+    );
+
+    // Connection 2: over-claim the acked frames — denied.
+    let (mut conn, mut decoder) = support::greeted(addr);
+    conn.write_all(
+        &Frame::ResumeSession {
+            patient_id: record.id,
+            session_token: token,
+            last_acked_seq: sent_frames + 5,
+            outcomes_received: 0,
+        }
+        .encode(),
+    )
+    .expect("resume");
+    let Frame::Deny { message } = support::pump_until(&mut gateway, &mut conn, &mut decoder, |f| {
+        matches!(f, Frame::Deny { .. } | Frame::SessionResumed { .. })
+    }) else {
+        panic!("an over-claiming resume was accepted");
+    };
+    assert!(message.contains("resume claims"), "{message}");
+    poll_until_parked(&mut gateway);
+    drop(conn);
+
+    // Connection 3: an honest resume, then close for the report.
+    let (mut conn, mut decoder) = support::greeted(addr);
+    conn.write_all(
+        &Frame::ResumeSession {
+            patient_id: record.id,
+            session_token: token,
+            last_acked_seq: sent_frames,
+            outcomes_received: 0,
+        }
+        .encode(),
+    )
+    .expect("resume");
+    let resumed = support::pump_until(&mut gateway, &mut conn, &mut decoder, |f| {
+        matches!(f, Frame::SessionResumed { .. } | Frame::Deny { .. })
+    });
+    let Frame::SessionResumed {
+        session: rid,
+        next_expected_seq,
+        ..
+    } = resumed
+    else {
+        panic!("honest resume denied: {resumed:?}");
+    };
+    assert_eq!(rid, session);
+    assert_eq!(next_expected_seq, sent_frames);
+    conn.write_all(&Frame::CloseSession { session }.encode())
+        .expect("close");
+    let mut outcomes = Vec::new();
+    let report = loop {
+        match support::pump_until(&mut gateway, &mut conn, &mut decoder, |f| {
+            matches!(f, Frame::Outcomes { .. } | Frame::Report { .. })
+        }) {
+            Frame::Outcomes {
+                outcomes: mut batch,
+                ..
+            } => outcomes.append(&mut batch),
+            Frame::Report { report, .. } => break report,
+            _ => unreachable!(),
+        }
+    };
+    let got: Vec<BeatOutcome> = outcomes
+        .into_iter()
+        .map(|o| o.to_outcome().expect("valid class code"))
+        .collect();
+    assert_full_match(&got, &reference, "resumed after a denied resume");
+    assert_eq!(report.samples as usize, record.len());
+    let stats = gateway.stats();
+    assert_eq!(stats.denials, 1, "only the over-claiming resume is denied");
+    assert_eq!(stats.sessions_resumed, 1);
+    assert_eq!(stats.sessions_closed, 1);
+    assert_eq!(stats.internal_skips, 0);
+}

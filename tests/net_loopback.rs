@@ -11,7 +11,9 @@
 //!   (default) or has its excess dropped, per configuration, leaving other
 //!   sessions intact;
 //! * **idle eviction** — sessions without traffic are drained, reported and
-//!   freed.
+//!   freed, exactly on their deadline: the reactor skips the idle scan until
+//!   the least recently active session can have expired, and that skip must
+//!   neither evict an active session early nor forget a silent one.
 //!
 //! The records are quantised once through the wire ADC transfer function and
 //! both sides (socket and reference) consume the identical dequantised
@@ -21,7 +23,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use heartbeat_rp::config::ExperimentConfig;
 use heartbeat_rp::hbc_ecg::beat::BeatWindow;
@@ -305,6 +307,38 @@ fn slow_consumption_stalls_senders_at_the_credit_budget_without_cross_talk() {
     assert_outcomes_match(&summary_b.outcomes, &ref_b, "slow B");
 }
 
+#[test]
+fn credit_withheld_behind_a_full_outbox_is_granted_after_the_flush() {
+    // With no outbox headroom, every sweep that forwards outcomes withholds
+    // the credit it owes. A session whose buffer that sweep drained is left
+    // with nothing but the owed credit, and a later sweep must still grant
+    // it, or its sender stalls for good.
+    let fw = firmware();
+    let record = wire_record(9300, 40);
+    let fs = record.fs;
+    let calib_len = 1024usize;
+    let reference = hub_reference(&fw, &record, calib_len);
+    let config = GatewayConfig {
+        credit_budget: 2048,
+        max_outbox_bytes: 0,
+        ..GatewayConfig::default()
+    };
+    let (summary, stats) = with_gateway(&fw, fs, config, |addr| {
+        let mut client = NodeClient::connect(addr).expect("connect");
+        client
+            .set_io_timeout(Some(Duration::from_secs(20)))
+            .expect("timeout");
+        let id = client
+            .open_session(record.id, fs, calib_len as u32)
+            .expect("open");
+        stream_randomly(&mut client, id, record.lead(Lead(0)).expect("lead 0"), 79);
+        client.close_session(id).expect("close")
+    });
+    assert_outcomes_match(&summary.outcomes, &reference, "outbox-capped session");
+    assert_eq!(stats.denials, 0);
+    assert_eq!(stats.internal_skips, 0);
+}
+
 /// Raw-socket helper: blocking-reads frames until `want` matches, dispatching
 /// nothing. Returns the matched frame.
 fn read_until(
@@ -585,6 +619,120 @@ fn sending_into_an_evicted_session_errors_instead_of_hanging() {
         stats.denials, 0,
         "post-eviction stragglers are not violations"
     );
+}
+
+/// The largest calibration stretch a default gateway admits. Sessions
+/// opened with it never finish calibrating on the few samples these tests
+/// send, so only the idle clock can end them.
+const NEVER_CALIBRATES: u32 = 60_000;
+
+#[test]
+fn a_session_active_after_the_last_idle_scan_is_not_evicted_early() {
+    let fw = firmware();
+    let fs = 360.0;
+    let idle = Duration::from_millis(400);
+    let config = GatewayConfig {
+        idle_timeout: idle,
+        ..GatewayConfig::default()
+    };
+    let ((), stats) = with_gateway(&fw, fs, config, |addr| {
+        let mut client = NodeClient::connect(addr).expect("connect");
+        let before_silent = Instant::now();
+        let silent = client
+            .open_session(1, fs, NEVER_CALIBRATES)
+            .expect("open silent");
+        let mut last_send = Instant::now();
+        let active = client
+            .open_session(2, fs, NEVER_CALIBRATES)
+            .expect("open active");
+        // Keep `active` busy until the silent session's eviction proves an
+        // idle scan ran, then for two more timeouts: every deadline the
+        // gateway derives after that scan must see the later activity.
+        let beat = vec![0.0f64; 8];
+        let started = Instant::now();
+        let mut widest_gap = Duration::ZERO;
+        let mut silent_ended_at = None;
+        loop {
+            assert!(
+                started.elapsed() < Duration::from_secs(20),
+                "the silent session was never evicted"
+            );
+            client.pump().expect("pump");
+            if client.session_ended(active) {
+                // Only a real silence longer than the timeout (a stalled
+                // test thread) may end the active session.
+                let widest_gap = widest_gap.max(last_send.elapsed());
+                assert!(
+                    widest_gap > idle,
+                    "active session evicted early (widest send gap {widest_gap:?})"
+                );
+                return;
+            }
+            if silent_ended_at.is_none() && client.session_ended(silent) {
+                let ended = Instant::now();
+                assert!(
+                    ended - before_silent > idle,
+                    "silent session evicted before its timeout"
+                );
+                silent_ended_at = Some(ended);
+            }
+            if silent_ended_at.is_some_and(|t| t.elapsed() > 2 * idle) {
+                break;
+            }
+            widest_gap = widest_gap.max(last_send.elapsed());
+            last_send = Instant::now();
+            client.send_mv(active, &beat).expect("keep-alive");
+            std::thread::sleep(idle / 20);
+        }
+        // Fall silent: the eviction comes, and no sooner than the timeout
+        // after the last frame.
+        support::wait_until(Duration::from_secs(10), || {
+            client.pump().expect("pump");
+            client.session_ended(active)
+        });
+        assert!(
+            last_send.elapsed() > idle,
+            "active session evicted before its timeout"
+        );
+    });
+    assert_eq!(stats.sessions_evicted, 2);
+    assert_eq!(stats.denials, 0);
+    assert_eq!(stats.internal_skips, 0);
+}
+
+#[test]
+fn a_silent_session_is_evicted_once_the_idle_timeout_passes() {
+    let fw = firmware();
+    let fs = 360.0;
+    let idle = Duration::from_millis(200);
+    let config = GatewayConfig {
+        idle_timeout: idle,
+        ..GatewayConfig::default()
+    };
+    let ((), stats) = with_gateway(&fw, fs, config, |addr| {
+        let mut client = NodeClient::connect(addr).expect("connect");
+        // The second session opens after the first one's eviction emptied
+        // the gateway, when no idle deadline is pending at all: opening it
+        // must arm one.
+        for patient in [1, 2] {
+            let before_open = Instant::now();
+            let id = client
+                .open_session(patient, fs, NEVER_CALIBRATES)
+                .expect("open");
+            client.send_mv(id, &[0.0; 8]).expect("send");
+            support::wait_until(Duration::from_secs(10), || {
+                client.pump().expect("pump");
+                client.session_ended(id)
+            });
+            assert!(
+                before_open.elapsed() > idle,
+                "session {patient} evicted before its timeout"
+            );
+        }
+    });
+    assert_eq!(stats.sessions_evicted, 2);
+    assert_eq!(stats.denials, 0);
+    assert_eq!(stats.internal_skips, 0);
 }
 
 #[test]

@@ -795,3 +795,124 @@ fn watchdog_counts_over_budget_sweeps() {
         "every sweep overran a zero budget"
     );
 }
+
+/// Polls `gateway` by hand until the credit granted to `session` on
+/// `conn` adds up to `total` samples.
+fn pump_credit(
+    gateway: &mut Gateway<'_>,
+    conn: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    session: u32,
+    total: usize,
+) {
+    let mut granted = 0usize;
+    while granted < total {
+        let Frame::Credit { grant, .. } = support::pump_until(
+            gateway,
+            conn,
+            decoder,
+            |f| matches!(f, Frame::Credit { session: s, .. } if *s == session),
+        ) else {
+            unreachable!()
+        };
+        granted += grant as usize;
+    }
+    assert_eq!(
+        granted, total,
+        "session {session} granted more than it sent"
+    );
+}
+
+#[test]
+fn a_shed_calibrating_session_gets_its_credit_back() {
+    // A session still calibrating holds its whole buffer and drops out of
+    // the reactor's sweeps until the stretch completes. When another
+    // session's frame breaches the global budget, the shedder takes from
+    // the calibrating buffer and owes the victim that credit, which puts it
+    // back in the sweep: the debug-build work-set audit fails the poll if
+    // the shed does not. The credit itself is granted once the stretch
+    // completes. The gateway is polled by hand, so the budget arithmetic
+    // is exact: 4000 buffered samples are 32000 of 36000 bytes, and 1024
+    // more breach it.
+    let fw = firmware();
+    let config = GatewayConfig {
+        global_memory_budget: 36_000,
+        ..GatewayConfig::default()
+    };
+    let mut gateway = Gateway::bind("127.0.0.1:0", &fw, 360.0, config).expect("bind");
+    let addr = gateway.local_addr().expect("addr");
+    let (mut conn, mut decoder) = support::greeted(addr);
+    let mut sessions = Vec::new();
+    for (patient_id, calib_len) in [(70, 4096), (71, 256)] {
+        conn.write_all(
+            &Frame::OpenSession {
+                patient_id,
+                fs_millihertz: 360_000,
+                calib_len,
+            }
+            .encode(),
+        )
+        .expect("open");
+        let Frame::SessionOpened { session, .. } =
+            support::pump_until(&mut gateway, &mut conn, &mut decoder, |f| {
+                matches!(f, Frame::SessionOpened { .. })
+            })
+        else {
+            unreachable!()
+        };
+        sessions.push(session);
+    }
+    let (calibrating, streaming) = (sessions[0], sessions[1]);
+    let send = |conn: &mut TcpStream, session: u32, seq: u32, n: usize| {
+        conn.write_all(
+            &Frame::Samples {
+                session,
+                seq,
+                samples: vec![0; n],
+            }
+            .encode(),
+        )
+        .expect("samples");
+    };
+    send(&mut conn, calibrating, 0, 4000);
+    let start = Instant::now();
+    while gateway.health().buffered_bytes < 4000 * SAMPLE_BYTES {
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "frame never read"
+        );
+        gateway.poll().expect("poll");
+    }
+    // A few more sweeps with nothing new: the calibrating session has no
+    // work left, so the reactor stops visiting it.
+    for _ in 0..3 {
+        gateway.poll().expect("poll");
+    }
+    assert_eq!(gateway.health().sheds, 0);
+
+    send(&mut conn, streaming, 0, 1024);
+    pump_credit(&mut gateway, &mut conn, &mut decoder, streaming, 1024);
+    let shed = gateway.health().samples_shed as usize;
+    assert!(shed > 0, "the breach must shed the calibrating buffer");
+    assert_eq!(
+        gateway.health().buffered_bytes,
+        (4000 - shed) * SAMPLE_BYTES,
+        "the streaming session drained; the calibrating one lost the shed"
+    );
+
+    // Complete the stretch: every sample sent, shed or consumed, comes
+    // back as credit.
+    let rest = 4096 - (4000 - shed);
+    send(&mut conn, calibrating, 1, rest);
+    pump_credit(
+        &mut gateway,
+        &mut conn,
+        &mut decoder,
+        calibrating,
+        4000 + rest,
+    );
+    let health = gateway.health();
+    assert_eq!(health.samples_shed as usize, shed, "no second shed");
+    assert!(health.memory_used <= health.memory_budget);
+    assert_eq!(gateway.stats().internal_skips, 0);
+}

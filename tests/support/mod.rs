@@ -1,5 +1,6 @@
 //! Shared helpers for the socket-level integration suites
-//! (`net_loopback.rs`, `chaos_gateway.rs`, `durability_gateway.rs`).
+//! (`net_loopback.rs`, `chaos_gateway.rs`, `durability_gateway.rs`,
+//! `overload_gateway.rs`).
 //!
 //! Kept in `tests/support/` (not a sibling `.rs` file) so Cargo does not
 //! compile it as a test target of its own; each suite pulls it in with
@@ -7,8 +8,13 @@
 
 #![allow(dead_code)]
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+
+use heartbeat_rp::hbc_net::proto::{Frame, FrameDecoder};
+use heartbeat_rp::hbc_net::{Gateway, PROTOCOL_VERSION};
 
 /// Polls `cond` every millisecond until it returns `true` or `deadline`
 /// elapses; panics on timeout. Replaces fixed sleeps so the suites stay fast
@@ -62,5 +68,50 @@ impl TempDir {
 impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
+/// Opens a raw connection with a short read timeout, for a gateway the
+/// test polls by hand, and sends the version handshake.
+pub fn greeted(addr: SocketAddr) -> (TcpStream, FrameDecoder) {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_millis(1)))
+        .expect("timeout");
+    conn.write_all(
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode(),
+    )
+    .expect("hello");
+    (conn, FrameDecoder::new())
+}
+
+/// Polls `gateway` by hand until a frame matching `want` arrives on `conn`.
+pub fn pump_until(
+    gateway: &mut Gateway<'_>,
+    conn: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    want: impl Fn(&Frame) -> bool,
+) -> Frame {
+    let start = Instant::now();
+    let mut buf = [0u8; 4096];
+    loop {
+        while let Some(frame) = decoder.next_frame().expect("valid") {
+            if want(&frame) {
+                return frame;
+            }
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "expected frame never arrived"
+        );
+        gateway.poll().expect("poll");
+        match conn.read(&mut buf) {
+            Ok(0) => panic!("gateway hung up before the expected frame"),
+            Ok(n) => decoder.feed(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+            Err(e) => panic!("read failed: {e}"),
+        }
     }
 }
